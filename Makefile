@@ -39,9 +39,13 @@ race:
 short:
 	$(GO) test -short -timeout 5m ./...
 
-# Race-enabled quick loop: the short suite under the race detector.
+# Race-enabled quick loop: the short suite under the race detector,
+# then the run-lifecycle packages again at GOMAXPROCS 1 and 4, so a
+# leak or race that only shows with (or without) parallel pool workers
+# cannot hide behind the core count of the box CI happens to run on.
 race-short:
 	$(GO) test -race -short -timeout 10m ./...
+	$(GO) test -race -short -timeout 10m -cpu 1,4 ./internal/core ./internal/imr ./internal/serve
 
 # Data-plane benchmarks: the kv hot paths with allocation stats, the
 # engine-level shuffle/iteration benchmarks, then the JSON snapshot

@@ -1,6 +1,7 @@
 package concomp
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -75,7 +76,7 @@ func TestMRMatchesUnionFind(t *testing.T) {
 	if err := env.FS.WriteFile("/cc/init", env.At(), CombinedPairs(g), CombinedOps()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.RunIterative(env.MR, MRSpec("cc-mr", "/cc/init", "/cc/work", 2, 500, 0.5))
+	res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, MRSpec("cc-mr", "/cc/init", "/cc/work", 2, 500, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

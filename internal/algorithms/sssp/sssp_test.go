@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,7 +113,7 @@ func TestMRChainMatchesBellmanFord(t *testing.T) {
 	}
 	const iters = 5
 	spec := MRSpec("sssp-mr", "/mr/init", "/mr/work", 3, iters, 0)
-	res, err := mapreduce.RunIterative(env.MR, spec)
+	res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestMRChainDistanceTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := MRSpec("sssp-mr-dist", "/mr/init", "/mr/work", 2, 100, 1e-12)
-	res, err := mapreduce.RunIterative(env.MR, spec)
+	res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

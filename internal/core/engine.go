@@ -270,54 +270,6 @@ type Result struct {
 	Recoveries    int
 }
 
-// runState is the shared routing table for one run. Task goroutines
-// consult worker bindings through it; the master updates them on
-// migration and recovery.
-type runState struct {
-	name       string
-	mainPhases int
-	mainTasks  int
-	auxTasks   int
-	outputPath string
-
-	// pool is the run-scoped worker pool tasks shard their pair loops
-	// across; closed (and joined) at run teardown.
-	pool *workerPool
-
-	mu         sync.RWMutex
-	pairWorker []string // main task pairs
-	auxWorker  []string
-}
-
-func (r *runState) ckptPath(iter, part int) string {
-	return fmt.Sprintf("/_imr/%s/ckpt-%06d/part-%d", r.name, iter, part)
-}
-
-func (r *runState) staticPartPath(phase, part int) string {
-	return fmt.Sprintf("/_imr/%s/static-%d/part-%d", r.name, phase, part)
-}
-
-// workerOfPhasePair returns the worker currently hosting pair idx of the
-// given global phase (auxiliary phases index their own table).
-func (r *runState) workerOfPhasePair(phase, idx int) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if phase >= r.mainPhases {
-		return r.auxWorker[idx]
-	}
-	return r.pairWorker[idx]
-}
-
-func (r *runState) setPairWorker(idx int, w string, aux bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if aux {
-		r.auxWorker[idx] = w
-	} else {
-		r.pairWorker[idx] = w
-	}
-}
-
 // Run executes job to termination. One run at a time per engine:
 // concurrent calls return an error rather than sharing endpoints.
 func (e *Engine) Run(job *Job) (*Result, error) {
@@ -348,7 +300,7 @@ func (e *Engine) ResumeCtx(ctx context.Context, job *Job) (*Result, error) {
 	return e.runCtx(ctx, job, true)
 }
 
-func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, error) {
+func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (res *Result, err error) {
 	e.mu.Lock()
 	if e.running {
 		e.mu.Unlock()
@@ -431,25 +383,26 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 			job.Name, need, e.spec.MapSlots, e.spec.ReduceSlots)
 	}
 
-	run := &runState{
-		name:       job.Name,
-		mainPhases: len(phases),
-		mainTasks:  n,
-		auxTasks:   auxN,
-		outputPath: job.OutputPath,
-		pool:       newWorkerPool(e.opts.Parallelism),
-		pairWorker: make([]string, n),
-		auxWorker:  make([]string, auxN),
+	meta := runMeta{
+		Name:         job.Name,
+		MainPhases:   len(phases),
+		MainTasks:    n,
+		AuxTasks:     auxN,
+		OutputPath:   job.OutputPath,
+		Placement:    make([]string, n),
+		AuxPlacement: make([]string, auxN),
 	}
-	if run.outputPath == "" {
-		run.outputPath = "/_imr/" + job.Name + "/output"
+	if meta.OutputPath == "" {
+		meta.OutputPath = "/_imr/" + job.Name + "/output"
 	}
-	for i := 0; i < n; i++ {
-		run.pairWorker[i] = workers[i%len(workers)]
+	for i := range meta.Placement {
+		meta.Placement[i] = workers[i%len(workers)]
 	}
-	for i := 0; i < auxN; i++ {
-		run.auxWorker[i] = workers[i%len(workers)]
+	for i := range meta.AuxPlacement {
+		meta.AuxPlacement[i] = workers[i%len(workers)]
 	}
+	run, release := newRun(e.net, meta, e.opts.Parallelism, 500*time.Millisecond)
+	defer func() { release(err == nil) }()
 
 	// Resume: locate and verify the newest durable manifest before
 	// spending anything on initialization. Its placement is adopted when
@@ -484,18 +437,21 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 
 	e.m.Add(metrics.JobsLaunched, 1)
 
-	// Register every task endpoint and start dialing the connection mesh
-	// now, so the TCP dial+handshake round trips overlap the scheduling
-	// overhead the job sleeps off next and the static/state partitioning
-	// after it, instead of competing with the first iteration.
-	spawned := false
-	if e.rc == nil {
-		unwarm := e.prewarmNet(job, phases, n, auxN)
-		defer func() {
-			if !spawned {
-				unwarm()
-			}
-		}()
+	// The master endpoint belongs to the run like every task endpoint.
+	// In-process, register every task endpoint too and start dialing the
+	// connection mesh now, so the TCP dial+handshake round trips overlap
+	// the scheduling overhead the job sleeps off next and the
+	// static/state partitioning after it, instead of competing with the
+	// first iteration. Remote tasks live in worker processes: the run is
+	// released there before its master endpoint closes.
+	master, err := run.endpoint(masterAddr(job.Name))
+	if err != nil {
+		return nil, err
+	}
+	if e.rc != nil {
+		defer e.releaseRemote(master, job.Name)
+	} else {
+		prewarmNet(run, master)
 	}
 
 	// The one job submission and the one round of persistent-task
@@ -551,54 +507,18 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	if e.rc != nil {
 		spawn = e.spawnRemote
 	}
-	master, tasks, err := spawn(job, phases, aux, run, n, auxN)
+	tasks, err := spawn(job, run, master)
 	if err != nil {
 		return nil, err
 	}
-	spawned = true
-	var runErr error
-	defer func() {
-		if e.rc != nil {
-			// Remote tasks live in worker processes: release the run
-			// there instead of touching local endpoints (Endpoint would
-			// *create* them here).
-			e.releaseRemote(master, job.Name)
-		} else {
-			for _, addr := range tasks.all {
-				if ep, err := e.net.Endpoint(addr); err == nil {
-					ep.Close()
-				}
-			}
-		}
-		master.Close()
-		e.mu.Lock()
-		e.activeMaster = nil
-		e.mu.Unlock()
-		// Join every task goroutine — including their in-flight
-		// checkpoint writers — so no run-owned goroutine touches the DFS
-		// or the network after a completed Run returns. A failed run may
-		// hold a task wedged inside a user function (that is how silence
-		// timeouts arise), so the error path waits only a short grace
-		// before abandoning the stragglers, as the engine always has.
-		// The pair-loop pool stops first: a straggler that still submits
-		// shards just runs them inline (runShards never blocks on the
-		// pool), and its workers are joined after the tasks so no
-		// run-owned goroutine survives a clean return.
-		run.pool.close()
-		joined := make(chan struct{})
-		go func() { tasks.wg.Wait(); run.pool.join(); close(joined) }()
-		if runErr == nil {
-			<-joined
-			return
-		}
-		select {
-		case <-joined:
-		case <-time.After(500 * time.Millisecond):
-		}
-	}()
 	e.mu.Lock()
 	e.activeMaster = master
 	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.activeMaster = nil
+		e.mu.Unlock()
+	}()
 
 	// Arm the spec's chaos schedule: self-announced crashes and
 	// undetected hangs, relative to the start of the run.
@@ -627,8 +547,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	// The one-time init (§3.1) is charged to iteration 1, the way the
 	// paper's first-iteration curves embed it.
 	e.opts.Trace.RecordSpan(trace.SpanRunInit, "master", -1, 1, start, initTime)
-	res, err := e.masterLoop(ctx, job, phases, aux, run, n, auxN, master, tasks, start, resumeFrom)
-	runErr = err
+	res, err = e.masterLoop(ctx, job, phases, aux, run, n, auxN, master, tasks, start, resumeFrom)
 	e.opts.Trace.Emit(trace.KindRunFinish, "master", -1, 0, trace.Attr{Key: "job", Value: job.Name})
 	if err != nil {
 		return nil, err
@@ -675,12 +594,8 @@ func (e *Engine) partitionToDFS(path string, ops kv.Ops, parts int, run *runStat
 	return nil
 }
 
-// taskSet records every spawned endpoint for command fan-out and
-// cleanup.
+// taskSet records every task endpoint address for command fan-out.
 type taskSet struct {
-	// wg joins every task goroutine (and, transitively, the checkpoint
-	// writers each reduce task joins before exiting) at run teardown.
-	wg  sync.WaitGroup
 	all []string // every task endpoint address
 	// phase0Maps are the self-loading maps that receive the go command.
 	phase0Maps []string
@@ -694,135 +609,76 @@ type taskSet struct {
 	auxByPair [][]string
 }
 
-// prewarmNet registers the master and every task endpoint up front and
-// starts dialing the static connection mesh: master ↔ every task, each
-// map to every reduce of its phase, and each reduce to its paired map
-// of the next phase. OneToAll extras are warmed later by spawnTasks;
-// warming is best-effort either way (a miss just means the first send
-// dials inline). It returns a closer for the error path where the run
-// dies before spawnTasks takes ownership of the endpoints.
-func (e *Engine) prewarmNet(job *Job, phases []*Job, n, auxN int) func() {
-	var eps []transport.Endpoint
-	get := func(addr string) transport.Endpoint {
-		ep, err := e.net.Endpoint(addr)
-		if err != nil {
-			return nil
-		}
-		eps = append(eps, ep)
-		return ep
-	}
-	type pair struct{ mep, rep transport.Endpoint }
-	master := get(masterAddr(job.Name))
-	counts := make([]int, 0, len(phases)+1)
-	for range phases {
-		counts = append(counts, n)
-	}
-	if auxN > 0 {
-		counts = append(counts, auxN)
-	}
-	mesh := make([][]pair, len(counts))
+// prewarmNet opens every task endpoint of the run up front and starts
+// dialing the static connection mesh: master ↔ every task, each map to
+// every reduce of its phase, and each reduce to its paired map of the
+// next phase. OneToAll extras are warmed later by spawnTasks; warming
+// is best-effort either way (a miss just means the first send dials
+// inline).
+func prewarmNet(run *runState, master transport.Endpoint) {
+	name, counts := run.name, run.phaseCounts()
 	for p, c := range counts {
-		mesh[p] = make([]pair, c)
 		for i := 0; i < c; i++ {
-			mesh[p][i] = pair{get(mapAddr(job.Name, p, i)), get(redAddr(job.Name, p, i))}
+			// An endpoint that fails to open here fails spawnTasks later.
+			_, _ = run.endpoint(mapAddr(name, p, i))
+			_, _ = run.endpoint(redAddr(name, p, i))
 		}
 	}
 	// Every endpoint exists now, so none of these dials can fail on an
 	// unknown peer; fire them all and let them overlap.
-	mAddr := masterAddr(job.Name)
+	mAddr := masterAddr(name)
 	for p, c := range counts {
 		reds := make([]string, c)
 		for j := 0; j < c; j++ {
-			reds[j] = redAddr(job.Name, p, j)
+			reds[j] = redAddr(name, p, j)
 		}
 		for i := 0; i < c; i++ {
-			if master != nil {
-				transport.Preconnect(master, mapAddr(job.Name, p, i), redAddr(job.Name, p, i))
-			}
-			if mep := mesh[p][i].mep; mep != nil {
+			transport.Preconnect(master, mapAddr(name, p, i), redAddr(name, p, i))
+			if mep := run.byAddr[mapAddr(name, p, i)]; mep != nil {
 				transport.Preconnect(mep, append([]string{mAddr}, reds...)...)
 			}
-			if rep := mesh[p][i].rep; rep != nil {
+			if rep := run.byAddr[redAddr(name, p, i)]; rep != nil {
 				peers := []string{mAddr}
-				if p < len(phases) {
-					peers = append(peers, mapAddr(job.Name, (p+1)%len(phases), i))
+				if p < run.mainPhases {
+					peers = append(peers, mapAddr(name, (p+1)%run.mainPhases, i))
 				}
 				transport.Preconnect(rep, peers...)
 			}
 		}
 	}
-	return func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}
 }
 
-// spawnTasks creates the master endpoint and all persistent map/reduce
-// task goroutines with their routing wired up.
-func (e *Engine) spawnTasks(job *Job, phases []*Job, aux *Job, run *runState, n, auxN int) (transport.Endpoint, *taskSet, error) {
-	master, err := e.net.Endpoint(masterAddr(job.Name))
-	if err != nil {
-		return nil, nil, err
+// spawnTasks starts all persistent map/reduce task goroutines with
+// their routing wired up.
+func (e *Engine) spawnTasks(job *Job, run *runState, master transport.Endpoint) (*taskSet, error) {
+	ts := buildTaskSet(run)
+	f := newTaskFactory(e, job, run)
+	type pair struct {
+		mt *mapTask
+		rt *reduceTask
 	}
-	ts := buildTaskSet(job.Name, len(phases), n, auxN)
-	f := &taskFactory{e: e, job: job, phases: phases, aux: aux, run: run, n: n, auxN: auxN}
-
-	// Deferred connection warming: every task's peer set is known here,
-	// but the peer endpoints only exist once the spawn loops finish, so
-	// the Preconnect calls are collected and fired at the end. On the TCP
-	// transport this overlaps the dial+handshake round trips of the whole
-	// mesh with the first iteration's load/compute instead of paying them
-	// one by one inside the tasks' first send loops.
-	var warm []func()
-
-	spawnPair := func(phase, idx int, isAux bool) error {
-		mep, err := e.net.Endpoint(mapAddr(job.Name, phase, idx))
-		if err != nil {
-			return err
-		}
-		mt := f.buildMapTask(phase, idx, mep)
-		if err := mt.loadStatic(); err != nil {
-			return err
-		}
-		rep, err := e.net.Endpoint(redAddr(job.Name, phase, idx))
-		if err != nil {
-			return err
-		}
-		rt := f.buildReduceTask(phase, idx, rep)
-		warm = append(warm, func() {
-			transport.Preconnect(mep, append([]string{masterAddr(job.Name)}, mt.redAddrs...)...)
-			rtPeers := append([]string{masterAddr(job.Name)}, rt.targetAddrs...)
-			transport.Preconnect(rep, append(rtPeers, rt.auxAddrs...)...)
-		})
-		worker, taskIdx, ph := run.pairWorker[idx], idx, fmt.Sprint(phase)
-		if isAux {
-			worker, taskIdx, ph = run.auxWorker[idx], n+idx, "aux"
-		}
-		e.m.Add(metrics.TasksLaunched, 2)
-		e.opts.Trace.Emit(trace.KindTaskLaunch, worker, taskIdx, 0,
-			trace.Attr{Key: "phase", Value: ph})
-		ts.wg.Add(2)
-		go func() { defer ts.wg.Done(); mt.loop() }()
-		go func() { defer ts.wg.Done(); rt.loop() }()
-		return nil
-	}
-
-	for pi := range phases {
-		for i := 0; i < n; i++ {
-			if err := spawnPair(pi, i, false); err != nil {
-				return nil, nil, err
+	var pairs []pair
+	for phase, count := range run.phaseCounts() {
+		for i := 0; i < count; i++ {
+			mt, rt, err := f.spawnPair(phase, i)
+			if err != nil {
+				return nil, err
 			}
+			pairs = append(pairs, pair{mt, rt})
 		}
 	}
-	for i := 0; i < auxN; i++ {
-		if err := spawnPair(len(phases), i, true); err != nil {
-			return nil, nil, err
-		}
-	}
+	// Deferred connection warming: every task's peer set is known once
+	// its pair is built, but the peer endpoints only all exist once the
+	// spawn loop finishes, so the Preconnect calls fire at the end. On
+	// the TCP transport this overlaps the dial+handshake round trips of
+	// the whole mesh with the first iteration's load/compute instead of
+	// paying them one by one inside the tasks' first send loops.
 	transport.Preconnect(master, ts.all...)
-	for _, w := range warm {
-		w()
+	mAddr := masterAddr(job.Name)
+	for _, p := range pairs {
+		transport.Preconnect(p.mt.ep, append([]string{mAddr}, p.mt.redAddrs...)...)
+		rtPeers := append([]string{mAddr}, p.rt.targetAddrs...)
+		transport.Preconnect(p.rt.ep, append(rtPeers, p.rt.auxAddrs...)...)
 	}
-	return master, ts, nil
+	return ts, nil
 }

@@ -359,22 +359,18 @@ func (rr *remoteRun) buildPlan(run *runState, w string, epoch int) planMsg {
 // spawnRemote is the out-of-process counterpart of spawnTasks: instead
 // of goroutines it sends every registered worker a plan, collects the
 // endpoint listen addresses they bound, distributes the completed
-// directory, and returns the same (master endpoint, task set) shape the
-// master loop runs against — with no goroutines in the task set's wait
-// group, since the tasks live in other processes.
-func (e *Engine) spawnRemote(job *Job, phases []*Job, aux *Job, run *runState, n, auxN int) (transport.Endpoint, *taskSet, error) {
+// directory, and returns the same task set the master loop runs
+// against — with no goroutines on the run's wait group, since the
+// tasks live in other processes.
+func (e *Engine) spawnRemote(job *Job, run *runState, master transport.Endpoint) (*taskSet, error) {
 	if job.Registry == "" {
-		return nil, nil, fmt.Errorf("core: job %s: remote runs need Job.Registry (build it through internal/jobs)", job.Name)
-	}
-	master, err := e.net.Endpoint(masterAddr(job.Name))
-	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("core: job %s: remote runs need Job.Registry (build it through internal/jobs)", job.Name)
 	}
 	rc := e.rc
 	if hp, ok := rc.net.ListenAddr(masterAddr(job.Name)); ok {
 		rc.dir.Set(masterAddr(job.Name), hp)
 	}
-	ts := buildTaskSet(job.Name, len(phases), n, auxN)
+	ts := buildTaskSet(run)
 
 	rr := &remoteRun{
 		rc: rc,
@@ -394,9 +390,9 @@ func (e *Engine) spawnRemote(job *Job, phases []*Job, aux *Job, run *runState, n
 			},
 			Run: runMeta{
 				Name:       run.name,
-				MainPhases: len(phases),
-				MainTasks:  n,
-				AuxTasks:   auxN,
+				MainPhases: run.mainPhases,
+				MainTasks:  run.mainTasks,
+				AuxTasks:   run.auxTasks,
 				OutputPath: run.outputPath,
 			},
 		},
@@ -409,7 +405,7 @@ func (e *Engine) spawnRemote(job *Job, phases []*Job, aux *Job, run *runState, n
 		pending[w] = true
 		plan := rr.buildPlan(run, w, rr.epoch)
 		if err := e.sendReliable(master, ctlAddr(w), transport.Message{Kind: kindPlan, Payload: plan}); err != nil {
-			return nil, nil, fmt.Errorf("core: job %s: plan to %s: %w", job.Name, w, err)
+			return nil, fmt.Errorf("core: job %s: plan to %s: %w", job.Name, w, err)
 		}
 	}
 
@@ -418,14 +414,14 @@ func (e *Engine) spawnRemote(job *Job, phases []*Job, aux *Job, run *runState, n
 		select {
 		case msg, ok := <-master.Recv():
 			if !ok {
-				return nil, nil, fmt.Errorf("core: job %s: master endpoint closed during deploy", job.Name)
+				return nil, fmt.Errorf("core: job %s: master endpoint closed during deploy", job.Name)
 			}
 			ack, isAck := msg.Payload.(planAckMsg)
 			if !isAck || ack.Epoch != rr.epoch || !pending[ack.Worker] {
 				continue // early heartbeats and duplicate acks
 			}
 			if ack.Err != "" {
-				return nil, nil, fmt.Errorf("core: job %s: worker %s rejected plan: %s", job.Name, ack.Worker, ack.Err)
+				return nil, fmt.Errorf("core: job %s: worker %s rejected plan: %s", job.Name, ack.Worker, ack.Err)
 			}
 			rc.dir.SetAll(ack.Endpoints)
 			delete(pending, ack.Worker)
@@ -435,13 +431,13 @@ func (e *Engine) spawnRemote(job *Job, phases []*Job, aux *Job, run *runState, n
 				missing = append(missing, w)
 			}
 			sort.Strings(missing)
-			return nil, nil, fmt.Errorf("core: job %s: workers %v never acknowledged their plan", job.Name, missing)
+			return nil, fmt.Errorf("core: job %s: workers %v never acknowledged their plan", job.Name, missing)
 		}
 	}
 	e.broadcastDirectory(master, workers)
 	e.remote = rr
 	rc.SetOnDown(func(w string) { _ = e.FailWorker(w) })
-	return master, ts, nil
+	return ts, nil
 }
 
 // broadcastDirectory pushes the current directory snapshot to workers.

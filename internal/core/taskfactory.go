@@ -20,6 +20,11 @@ type taskFactory struct {
 	auxN   int
 }
 
+// newTaskFactory wires the factory for job's tasks within run.
+func newTaskFactory(e *Engine, job *Job, run *runState) *taskFactory {
+	return &taskFactory{e: e, job: job, phases: job.Phases(), aux: job.auxiliary, run: run, n: run.mainTasks, auxN: run.auxTasks}
+}
+
 // auxPhaseIndex is the phase number of the auxiliary pairs (one past
 // the main phases).
 func (f *taskFactory) auxPhaseIndex() int { return len(f.phases) }
@@ -161,7 +166,8 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 // creating any endpoints. The in-process spawner binds every address
 // locally; the remote spawner ships them out in plans instead and binds
 // none.
-func buildTaskSet(jobName string, numPhases, n, auxN int) *taskSet {
+func buildTaskSet(run *runState) *taskSet {
+	jobName, numPhases, n, auxN := run.name, run.mainPhases, run.mainTasks, run.auxTasks
 	ts := &taskSet{byPair: make([][]string, n), auxByPair: make([][]string, auxN)}
 	last := numPhases - 1
 	for pi := 0; pi < numPhases; pi++ {

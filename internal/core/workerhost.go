@@ -64,15 +64,10 @@ type WorkerHost struct {
 
 // hostedRun is one deployed job on this worker.
 type hostedRun struct {
-	jobName string
 	epoch   int
-	engine  *Engine
-	factory *taskFactory
 	run     *runState
-	phases  int
-	eps     []transport.Endpoint
-	tasks   map[string]bool
-	wg      sync.WaitGroup
+	release func(clean bool)
+	factory *taskFactory
 }
 
 // NewWorkerHost builds the host and binds its control endpoint; Run
@@ -262,13 +257,13 @@ func (w *WorkerHost) applyPlan(p planMsg) planAckMsg {
 	w.mu.Lock()
 	r := w.run
 	w.mu.Unlock()
-	if r != nil && r.jobName != p.Run.Name {
+	if r != nil && r.run.name != p.Run.Name {
 		w.teardownRun()
 		r = nil
 	}
 	if r == nil {
 		var err error
-		if r, err = w.newRun(p); err != nil {
+		if r, err = w.startRun(p); err != nil {
 			ack.Err = err.Error()
 			return ack
 		}
@@ -283,19 +278,24 @@ func (w *WorkerHost) applyPlan(p planMsg) planAckMsg {
 		copy(r.run.auxWorker, p.Run.AuxPlacement)
 		r.run.mu.Unlock()
 		for _, a := range p.Assigns {
-			first, limit := 0, r.phases
+			first, limit := 0, r.run.mainPhases
 			if a.Aux {
-				first, limit = r.phases, r.phases+1
+				first, limit = r.run.mainPhases, r.run.mainPhases+1
 			}
 			for phase := first; phase < limit; phase++ {
-				if err := w.spawnPair(r, phase, a.Idx); err != nil {
+				// Re-delivered plans skip the pairs already running here.
+				if r.run.byAddr[mapAddr(r.run.name, phase, a.Idx)] != nil &&
+					r.run.byAddr[redAddr(r.run.name, phase, a.Idx)] != nil {
+					continue
+				}
+				if _, _, err := r.factory.spawnPair(phase, a.Idx); err != nil {
 					ack.Err = err.Error()
 					return ack
 				}
 			}
 		}
 	}
-	for addr := range r.tasks {
+	for addr := range r.run.byAddr {
 		if hp, ok := w.net.ListenAddr(addr); ok {
 			ack.Endpoints[addr] = hp
 		}
@@ -306,10 +306,10 @@ func (w *WorkerHost) applyPlan(p planMsg) planAckMsg {
 	return ack
 }
 
-// newRun builds the per-job context: the job from the registry, the
-// DFS client against the master's block service, and a task-context
-// engine sharing this host's network.
-func (w *WorkerHost) newRun(p planMsg) (*hostedRun, error) {
+// startRun builds the per-job context: the job from the registry, a
+// task-context engine over the host's DFS client and network, and the
+// run itself, released by teardownRun.
+func (w *WorkerHost) startRun(p planMsg) (*hostedRun, error) {
 	job, err := w.opts.Build(p.JobKey, p.Params)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
@@ -335,82 +335,28 @@ func (w *WorkerHost) newRun(p planMsg) (*hostedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &runState{
-		name:       p.Run.Name,
-		mainPhases: p.Run.MainPhases,
-		mainTasks:  p.Run.MainTasks,
-		auxTasks:   p.Run.AuxTasks,
-		outputPath: p.Run.OutputPath,
-		pool:       newWorkerPool(p.Tuning.Parallelism),
-		pairWorker: make([]string, p.Run.MainTasks),
-		auxWorker:  make([]string, p.Run.AuxTasks),
-	}
+	// A run torn down because the master vanished may hold tasks wedged
+	// inside user functions or in-flight DFS calls, so release waits only
+	// a short grace. The DFS endpoint is not the run's: it belongs to the
+	// host, and the host's own shutdown (net.Close) is what fails those
+	// calls fast.
+	run, release := newRun(w.net, p.Run, p.Tuning.Parallelism, 2*time.Second)
 	return &hostedRun{
-		jobName: p.Run.Name,
-		engine:  eng,
-		factory: &taskFactory{e: eng, job: job, phases: phases, aux: job.auxiliary, run: run, n: p.Run.MainTasks, auxN: p.Run.AuxTasks},
 		run:     run,
-		phases:  p.Run.MainPhases,
-		tasks:   make(map[string]bool),
+		release: release,
+		factory: newTaskFactory(eng, job, run),
 	}, nil
 }
 
-// spawnPair starts the map and reduce tasks of (phase, idx) unless they
-// already run here.
-func (w *WorkerHost) spawnPair(r *hostedRun, phase, idx int) error {
-	jobName := r.jobName
-	ma, ra := mapAddr(jobName, phase, idx), redAddr(jobName, phase, idx)
-	if r.tasks[ma] && r.tasks[ra] {
-		return nil
-	}
-	mep, err := w.net.Endpoint(ma)
-	if err != nil {
-		return err
-	}
-	mt := r.factory.buildMapTask(phase, idx, mep)
-	if err := mt.loadStatic(); err != nil {
-		return err
-	}
-	rep, err := w.net.Endpoint(ra)
-	if err != nil {
-		return err
-	}
-	rt := r.factory.buildReduceTask(phase, idx, rep)
-	r.tasks[ma], r.tasks[ra] = true, true
-	r.eps = append(r.eps, mep, rep)
-	if m := w.opts.Metrics; m != nil {
-		m.Add(metrics.TasksLaunched, 2)
-	}
-	r.wg.Add(2)
-	go func() { defer r.wg.Done(); mt.loop() }()
-	go func() { defer r.wg.Done(); rt.loop() }()
-	return nil
-}
-
-// teardownRun closes the current run's endpoints (task loops exit on
-// their closed inbox) and joins the task goroutines — with a short
-// grace, since a run torn down because the master vanished may hold
-// tasks wedged inside user functions or in-flight DFS calls. The DFS
-// endpoint stays open: it belongs to the host, and the host's own
-// shutdown (net.Close) is what fails those calls fast.
+// teardownRun releases the current run, if any: its endpoints close
+// (task loops exit on their closed inbox) and its goroutines are joined
+// within the run's grace.
 func (w *WorkerHost) teardownRun() {
 	w.mu.Lock()
 	r := w.run
 	w.run = nil
 	w.mu.Unlock()
-	if r == nil {
-		return
-	}
-	for _, ep := range r.eps {
-		ep.Close()
-	}
-	// Stop the pair-loop pool first (stragglers fall back to inline
-	// shards), then join tasks and pool workers together.
-	r.run.pool.close()
-	done := make(chan struct{})
-	go func() { r.wg.Wait(); r.run.pool.join(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
+	if r != nil {
+		r.release(false)
 	}
 }

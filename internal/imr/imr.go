@@ -11,12 +11,12 @@
 //
 // Submit is the single entry point for all three execution styles —
 // iMapReduce iterative jobs, plain batch MapReduce, and the baseline
-// job-chain pattern — and returns a JobHandle immediately; the former
-// blocking Run*/Resume* methods survive as deprecated wrappers.
+// job-chain pattern (SubmitOptions.Resume cold-restarts an iterative
+// job from its newest durable checkpoint) — and returns a JobHandle
+// immediately; Wait or Result block on it.
 package imr
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -164,86 +164,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c.coreFree = []*core.Engine{coreEngine}
 	c.mrFree = []*mapreduce.Engine{mrEngine}
 	return c, nil
-}
-
-// RunJob executes a plain batch MapReduce job (iterative features off).
-//
-// Deprecated: use Submit with JobSpec{Batch: job}.
-func (c *Cluster) RunJob(job *mapreduce.Job) (*mapreduce.JobResult, error) {
-	return c.RunJobCtx(context.Background(), job)
-}
-
-// RunJobCtx is RunJob with cancellation: when ctx is canceled the job
-// stops at the next phase-collection point and the returned error wraps
-// context.Canceled (or ctx's cause).
-//
-// Deprecated: use Submit with JobSpec{Batch: job}.
-func (c *Cluster) RunJobCtx(ctx context.Context, job *mapreduce.Job) (*mapreduce.JobResult, error) {
-	r, err := c.submitWait(ctx, JobSpec{Batch: job}, SubmitOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return r.Batch, nil
-}
-
-// RunJobChain executes the baseline's iterative pattern: one job per
-// iteration plus convergence-check jobs, driven from the client.
-//
-// Deprecated: use Submit with JobSpec{Chain: &spec}.
-func (c *Cluster) RunJobChain(spec mapreduce.IterSpec) (*mapreduce.IterResult, error) {
-	r, err := c.submitWait(context.Background(), JobSpec{Chain: &spec}, SubmitOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return r.Chain, nil
-}
-
-// RunIterative executes an iMapReduce job (iterative features on):
-// persistent tasks, static/state separation, asynchronous maps.
-//
-// Deprecated: use Submit with JobSpec{Iterative: job}.
-func (c *Cluster) RunIterative(job *core.Job) (*core.Result, error) {
-	return c.RunIterativeCtx(context.Background(), job)
-}
-
-// RunIterativeCtx is RunIterative with cancellation: when ctx is
-// canceled the master aborts every persistent task (no final output is
-// written) and the returned error wraps context.Canceled (or ctx's
-// cause).
-//
-// Deprecated: use Submit with JobSpec{Iterative: job}.
-func (c *Cluster) RunIterativeCtx(ctx context.Context, job *core.Job) (*core.Result, error) {
-	r, err := c.submitWait(ctx, JobSpec{Iterative: job}, SubmitOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return r.Iterative, nil
-}
-
-// ResumeIterative cold-restarts an iterative job from its newest
-// durable checkpoint manifest in this cluster's DFS — the recovery path
-// for a run whose entire engine (master included) died. The cluster is
-// typically freshly constructed over the surviving DFS; the job must be
-// the same definition that wrote the checkpoints (the manifest's
-// configuration fingerprint is verified, as are every partition file's
-// existence, size, and CRC).
-//
-// Deprecated: use Submit with JobSpec{Iterative: job} and
-// SubmitOptions{Resume: true}.
-func (c *Cluster) ResumeIterative(job *core.Job) (*core.Result, error) {
-	return c.ResumeIterativeCtx(context.Background(), job)
-}
-
-// ResumeIterativeCtx is ResumeIterative with cancellation.
-//
-// Deprecated: use Submit with JobSpec{Iterative: job} and
-// SubmitOptions{Resume: true}.
-func (c *Cluster) ResumeIterativeCtx(ctx context.Context, job *core.Job) (*core.Result, error) {
-	r, err := c.submitWait(ctx, JobSpec{Iterative: job}, SubmitOptions{Resume: true})
-	if err != nil {
-		return nil, err
-	}
-	return r.Iterative, nil
 }
 
 // ErrNoActiveRun is returned by KillRun when no iterative run is

@@ -17,6 +17,16 @@ import (
 	"imapreduce/internal/transport"
 )
 
+// result submits spec and blocks on its handle — the shape every
+// assertion below is written against.
+func result(ctx context.Context, c *Cluster, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
+	h, err := c.Submit(ctx, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	return h.Result()
+}
+
 func TestBatchJob(t *testing.T) {
 	c, err := NewCluster(Options{Workers: 3})
 	if err != nil {
@@ -29,7 +39,7 @@ func TestBatchJob(t *testing.T) {
 	if err := c.Write("/in", recs, kv.OpsFor[int64, string](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunJob(&mapreduce.Job{
+	r, err := result(context.Background(), c, JobSpec{Batch: &mapreduce.Job{
 		Name: "wc", Input: []string{"/in"}, Output: "/out",
 		Map: func(key, value any, emit kv.Emit) error {
 			for _, w := range strings.Fields(value.(string)) {
@@ -47,11 +57,11 @@ func TestBatchJob(t *testing.T) {
 		},
 		NumReduce: 2,
 		Ops:       kv.OpsFor[string, int64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OutputRecords != 3 {
+	if res := r.Batch; res.OutputRecords != 3 {
 		t.Fatalf("output records = %d", res.OutputRecords)
 	}
 	out, err := c.ReadAll("/out")
@@ -75,7 +85,7 @@ func TestIterativeJob(t *testing.T) {
 	if err := c.Write("/state", recs, kv.OpsFor[int64, float64](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunIterative(&core.Job{
+	r, err := result(context.Background(), c, JobSpec{Iterative: &core.Job{
 		Name: "halve", StatePath: "/state", MaxIter: 5,
 		Map: func(key, state, static any, emit kv.Emit) error {
 			emit(key, state)
@@ -85,11 +95,11 @@ func TestIterativeJob(t *testing.T) {
 			return states[0].(float64) / 2, nil
 		},
 		Ops: kv.OpsFor[int64, float64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.ReadAll(res.OutputPath)
+	out, err := c.ReadAll(r.Iterative.OutputPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestJobChain(t *testing.T) {
 	if err := c.Write("/init", recs, kv.OpsFor[int64, mapreduce.IterValue](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunJobChain(mapreduce.IterSpec{
+	r, err := result(context.Background(), c, JobSpec{Chain: &mapreduce.IterSpec{
 		Name: "chain", Input: "/init", WorkDir: "/work",
 		Map: func(key, value any, emit kv.Emit) error {
 			emit(key, value)
@@ -126,10 +136,11 @@ func TestJobChain(t *testing.T) {
 		NumReduce: 2,
 		Ops:       kv.OpsFor[int64, mapreduce.IterValue](nil),
 		MaxIter:   3,
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.Chain
 	if res.Iterations != 3 {
 		t.Fatalf("iterations = %d", res.Iterations)
 	}
@@ -197,7 +208,7 @@ func TestNetworkOverrideAndStall(t *testing.T) {
 	// A stall shorter than the detection window: the run just rides it
 	// out; nothing may be lost or double-applied.
 	time.AfterFunc(5*time.Millisecond, func() { c.StallWorker("worker-1", 15*time.Millisecond) })
-	res, err := c.RunIterative(&core.Job{
+	r, err := result(context.Background(), c, JobSpec{Iterative: &core.Job{
 		Name: "halve-faulty", StatePath: "/state", MaxIter: 8, CheckpointEvery: 2,
 		Map: func(key, state, static any, emit kv.Emit) error {
 			emit(key, state)
@@ -208,11 +219,11 @@ func TestNetworkOverrideAndStall(t *testing.T) {
 			return states[0].(float64) / 2, nil
 		},
 		Ops: kv.OpsFor[int64, float64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.ReadAll(res.OutputPath)
+	out, err := c.ReadAll(r.Iterative.OutputPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +337,17 @@ func TestRunIterativeCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunIterativeCtx(ctx, halveJob("canceled", 100000)); !errors.Is(err, context.Canceled) {
+	if _, err := result(ctx, c, JobSpec{Iterative: halveJob("canceled", 100000)}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The engine must be reusable after a canceled run.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel2)
-	if _, err := c.RunIterativeCtx(ctx2, halveJob("canceled-midway", 100000)); !errors.Is(err, context.Canceled) {
+	if _, err := result(ctx2, c, JobSpec{Iterative: halveJob("canceled-midway", 100000)}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: want context.Canceled, got %v", err)
 	}
-	if res, err := c.RunIterative(halveJob("clean", 3)); err != nil || res.Iterations != 3 {
-		t.Fatalf("engine not reusable after cancel: %v %v", res, err)
+	if r, err := result(context.Background(), c, JobSpec{Iterative: halveJob("clean", 3)}, SubmitOptions{}); err != nil || r.Iterative.Iterations != 3 {
+		t.Fatalf("engine not reusable after cancel: %v %v", r, err)
 	}
 }
 
@@ -365,11 +376,11 @@ func TestRunJobCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunJobCtx(ctx, job); !errors.Is(err, context.Canceled) {
+	if _, err := result(ctx, c, JobSpec{Batch: job}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if res, err := c.RunJobCtx(context.Background(), job); err != nil || res.OutputRecords != 2 {
-		t.Fatalf("engine not reusable after cancel: %v %v", res, err)
+	if r, err := result(context.Background(), c, JobSpec{Batch: job}, SubmitOptions{}); err != nil || r.Batch.OutputRecords != 2 {
+		t.Fatalf("engine not reusable after cancel: %v %v", r, err)
 	}
 }
 
@@ -413,16 +424,17 @@ func TestKillRunAndResumeIterative(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	if _, err := c.RunIterative(job); !errors.Is(err, core.ErrKilled) {
+	if _, err := result(context.Background(), c, JobSpec{Iterative: job}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
 		t.Fatalf("want core.ErrKilled, got %v", err)
 	}
 
 	job2 := halveJob("killed", maxIter)
 	job2.CheckpointEvery = 2
-	res, err := c.ResumeIterative(job2)
+	r, err := result(context.Background(), c, JobSpec{Iterative: job2}, SubmitOptions{Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.Iterative
 	if res.Iterations != maxIter {
 		t.Fatalf("resumed iterations = %d, want %d", res.Iterations, maxIter)
 	}

@@ -284,15 +284,6 @@ func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts
 	}
 }
 
-// submitWait is the blocking form the deprecated wrappers share.
-func (c *Cluster) submitWait(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
-	h, err := c.Submit(ctx, spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	return h.Result()
-}
-
 // claimName reserves a job name for the duration of its run.
 func (c *Cluster) claimName(name string) error {
 	c.engMu.Lock()

@@ -71,18 +71,10 @@ type IterResult struct {
 	TotalWall  time.Duration
 }
 
-// RunIterative executes the chained-jobs pattern on e.
-//
-// Deprecated: use RunIterativeCtx or imr.Cluster.Submit with a Chain spec.
-// Both bound the chain with a context; Submit also returns a cancellable
-// handle.
-func RunIterative(e *Engine, spec IterSpec) (*IterResult, error) {
-	return RunIterativeCtx(context.Background(), e, spec)
-}
-
-// RunIterativeCtx is RunIterative with cancellation: a done ctx aborts
-// the chain between (and inside) its constituent jobs, and the returned
-// error wraps ctx's cause.
+// RunIterativeCtx executes the chained-jobs pattern on e: one job per
+// iteration plus convergence-check jobs, driven from the client. A done
+// ctx aborts the chain between (and inside) its constituent jobs, and
+// the returned error wraps ctx's cause.
 func RunIterativeCtx(ctx context.Context, e *Engine, spec IterSpec) (*IterResult, error) {
 	if spec.MaxIter <= 0 && spec.DistThreshold <= 0 {
 		return nil, fmt.Errorf("mapreduce: iterative %s needs MaxIter or DistThreshold", spec.Name)

@@ -210,10 +210,18 @@ func (e *chanEndpoint) Addr() string { return e.addr }
 func (e *chanEndpoint) Send(to string, msg Message) error {
 	e.net.mu.Lock()
 	dst, ok := e.net.endpoints[to]
+	// Close deregisters the endpoint, and a later Endpoint call may
+	// register a fresh one under the same address. Either way this one
+	// is closed: a straggler still holding it must not reach the peers
+	// of whoever owns the address now.
+	live := e.net.endpoints[e.addr] == e
 	closed := e.net.closed
 	e.net.mu.Unlock()
 	if closed {
 		return fmt.Errorf("transport: network closed")
+	}
+	if !live {
+		return fmt.Errorf("transport: endpoint %q closed", e.addr)
 	}
 	if !ok {
 		return fmt.Errorf("transport: unknown endpoint %q", to)

@@ -262,6 +262,36 @@ func TestSendToClosedEndpoint(t *testing.T) {
 	}
 }
 
+// TestSendFromClosedEndpoint: a closed endpoint cannot send, even after
+// a fresh endpoint took over its address and its peer's — a straggler
+// of a torn-down run must not reach the run that replaced it.
+func TestSendFromClosedEndpoint(t *testing.T) {
+	for name, nw := range networks(t) {
+		t.Run(name, func(t *testing.T) {
+			defer nw.Close()
+			a, _ := nw.Endpoint("a")
+			b, _ := nw.Endpoint("b")
+			a.Close()
+			b.Close()
+			if _, err := nw.Endpoint("a"); err != nil {
+				t.Fatal(err)
+			}
+			b2, err := nw.Endpoint("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Send("b", Message{Kind: "x", Payload: payload{N: 1}}); err == nil {
+				t.Fatal("send from a closed endpoint succeeded")
+			}
+			select {
+			case m := <-b2.Recv():
+				t.Fatalf("fresh endpoint received %+v from a closed one", m)
+			case <-time.After(50 * time.Millisecond):
+			}
+		})
+	}
+}
+
 // TestDeliveryOrderUnderMixedPaths pins the inbox FIFO guarantee: the
 // direct fast path (queue empty, pump idle) and the pump path mix
 // freely as the receiver stalls and catches up, and messages from one
