@@ -7,8 +7,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# perfbench is its own module, so ./... skips it; vetting it also
+# builds it, catching an imr API change that breaks the benchmark.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Project-specific type-aware static analysis (internal/lint via
 # cmd/imrlint): no sends under locks, paired trace spans, no silently

@@ -1,5 +1,6 @@
 // Package imr is the front door of the framework: one Cluster owning
-// the DFS, the metrics, and both engines, mirroring the paper's
+// the DFS, the metrics and the transport, and running every job on an
+// engine of its own (iterative or baseline), mirroring the paper's
 // prototype, which "supports any Hadoop job" and lets users "turn on
 // iterative processing functionalities for implementing iterative
 // algorithms, or turn them off for implementing MapReduce jobs as
@@ -69,10 +70,11 @@ type Options struct {
 	OnIteration func(core.IterInfo)
 }
 
-// Cluster bundles one simulated cluster with both execution engines
-// over a shared DFS and metrics set. Submit is the front door; many
-// jobs may run concurrently (the cluster grows per-run engines over
-// the shared substrate on demand), as long as their names differ.
+// Cluster is one simulated cluster: a DFS, metrics set and transport
+// shared by every job it runs on either execution engine. Submit is the
+// front door; many jobs may run concurrently, each on an engine built
+// for that run over the shared substrate, as long as their names
+// differ.
 type Cluster struct {
 	Spec    cluster.Spec
 	FS      *dfs.DFS
@@ -82,15 +84,12 @@ type Cluster struct {
 	coreOpts core.Options
 	mrOpts   mapreduce.Options
 
-	mr   *mapreduce.Engine
-	core *core.Engine
+	mr *mapreduce.Engine
 
-	// engMu guards the engine pools and the active-run name registry
-	// that Submit maintains.
+	// engMu guards the registry of active runs' core engines (oldest
+	// first) and of active job names that Submit maintains.
 	engMu       sync.Mutex
-	coreFree    []*core.Engine
-	coreActive  []*core.Engine
-	mrFree      []*mapreduce.Engine
+	active      []*core.Engine
 	activeNames map[string]bool
 }
 
@@ -150,20 +149,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if coreOpts.OnIteration == nil {
 		coreOpts.OnIteration = opts.OnIteration
 	}
-	coreEngine, err := core.NewEngine(fs, net, spec, m, coreOpts)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{
+	return &Cluster{
 		Spec: spec, FS: fs, Metrics: m,
 		net: net, coreOpts: coreOpts, mrOpts: mrOpts,
-		mr: mrEngine, core: coreEngine,
+		mr:          mrEngine,
 		activeNames: make(map[string]bool),
-	}
-	// The engines built above seed the Submit pools.
-	c.coreFree = []*core.Engine{coreEngine}
-	c.mrFree = []*mapreduce.Engine{mrEngine}
-	return c, nil
+	}, nil
 }
 
 // ErrNoActiveRun is returned by KillRun when no iterative run is
@@ -174,15 +165,12 @@ var ErrNoActiveRun = fmt.Errorf("imr: no active iterative run: %w", core.ErrKill
 
 // KillRun tears down an active iterative run as if the engine process
 // crashed: no final output, checkpoints and manifests left in place for
-// a later resume. With several concurrent runs the earliest-acquired
-// engine's run is killed. The killed run returns an error wrapping
-// core.ErrKilled; when no run is active KillRun returns ErrNoActiveRun
-// (never a silent nil).
+// a later resume. With several concurrent runs the earliest-started run
+// is killed. The killed run returns an error wrapping core.ErrKilled;
+// when no run is active KillRun returns ErrNoActiveRun (never a silent
+// nil).
 func (c *Cluster) KillRun() error {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	for _, eng := range engines {
+	for _, eng := range c.activeEngines() {
 		if eng.Kill() == nil {
 			return nil
 		}
@@ -190,43 +178,39 @@ func (c *Cluster) KillRun() error {
 	return ErrNoActiveRun
 }
 
-// MapReduceEngine exposes the baseline engine for advanced use.
+// MapReduceEngine exposes a baseline engine over the cluster's DFS,
+// spec, metrics and trace for advanced use; Submit does not run on it.
 func (c *Cluster) MapReduceEngine() *mapreduce.Engine { return c.mr }
 
-// CoreEngine exposes the iMapReduce engine for advanced use.
-func (c *Cluster) CoreEngine() *core.Engine { return c.core }
-
 // FailWorker injects a worker crash into an active iterative run (with
-// several concurrent runs, the earliest-acquired engine's run).
+// several concurrent runs, the earliest-started run).
 func (c *Cluster) FailWorker(id string) error {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	var last error = ErrNoActiveRun
-	for _, eng := range engines {
-		if err := eng.FailWorker(id); err == nil {
+	last := ErrNoActiveRun
+	for _, eng := range c.activeEngines() {
+		err := eng.FailWorker(id)
+		if err == nil {
 			return nil
-		} else {
-			last = err
 		}
+		last = err
 	}
 	return last
 }
 
 // StallWorker freezes worker id's tasks for d without any announcement
 // — an undetected hang, recoverable only through heartbeat detection
-// (core.Options.HeartbeatInterval). The stall applies to every engine
-// with an active run.
+// (core.Options.HeartbeatInterval). The stall applies to every active
+// iterative run; with none active it is a no-op.
 func (c *Cluster) StallWorker(id string, d time.Duration) {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	if len(engines) == 0 {
-		engines = []*core.Engine{c.core}
-	}
-	for _, eng := range engines {
+	for _, eng := range c.activeEngines() {
 		eng.StallWorker(id, d)
 	}
+}
+
+// activeEngines snapshots the active runs' core engines, oldest first.
+func (c *Cluster) activeEngines() []*core.Engine {
+	c.engMu.Lock()
+	defer c.engMu.Unlock()
+	return append([]*core.Engine(nil), c.active...)
 }
 
 // Write stores records as a DFS file at the first worker.

@@ -173,8 +173,8 @@ func TestOptionsPlumbing(t *testing.T) {
 	if c.Metrics != m {
 		t.Fatal("metrics not plumbed")
 	}
-	if c.MapReduceEngine() == nil || c.CoreEngine() == nil {
-		t.Fatal("engines missing")
+	if c.MapReduceEngine() == nil {
+		t.Fatal("baseline engine missing")
 	}
 	if err := c.FailWorker("worker-0"); err == nil {
 		t.Fatal("FailWorker with no active run should error")

@@ -26,33 +26,23 @@ type JobSpec struct {
 	Chain *mapreduce.IterSpec
 }
 
-// kind classifies a validated spec.
-type specKind int
-
-const (
-	specIterative specKind = iota
-	specBatch
-	specChain
-)
-
-func (s JobSpec) validate() (specKind, error) {
+// Validate reports whether the spec is runnable: exactly one of
+// Iterative, Batch and Chain is set, and the job has a name. Cluster
+// Submit and the serve layer's admission both check it.
+func (s JobSpec) Validate() error {
 	set := 0
-	kind := specIterative
-	if s.Iterative != nil {
-		set++
-	}
-	if s.Batch != nil {
-		set++
-		kind = specBatch
-	}
-	if s.Chain != nil {
-		set++
-		kind = specChain
+	for _, ok := range []bool{s.Iterative != nil, s.Batch != nil, s.Chain != nil} {
+		if ok {
+			set++
+		}
 	}
 	if set != 1 {
-		return 0, fmt.Errorf("imr: JobSpec must set exactly one of Iterative, Batch, Chain (got %d)", set)
+		return fmt.Errorf("imr: JobSpec must set exactly one of Iterative, Batch, Chain (got %d)", set)
 	}
-	return kind, nil
+	if s.Name() == "" {
+		return fmt.Errorf("imr: job without a name")
+	}
+	return nil
 }
 
 // Name returns the job's user-assigned name.
@@ -204,25 +194,19 @@ func (h *JobHandle) finish(res *JobResult, err error) {
 // Submit starts the job described by spec and returns a handle to it
 // without blocking. The ctx bounds the whole run: when it is done the
 // engine aborts the job and the handle finishes with an error wrapping
-// ctx's cause. Concurrent Submits run concurrently — the cluster grows
-// a per-run engine pool over the shared DFS, transport and spec — with
-// one restriction: two active jobs cannot share a name, because a job's
-// name namespaces its transport endpoints, checkpoints and manifests.
-//
-// This is the single entry point the former Run*/Resume* methods now
-// delegate to.
+// ctx's cause. Every run gets an engine of its own, built for it over
+// the shared DFS, transport and spec and dropped when it ends, so
+// concurrent Submits run concurrently — with one restriction: two
+// active jobs cannot share a name, because a job's name namespaces its
+// transport endpoints, checkpoints and manifests.
 func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobHandle, error) {
-	kind, err := spec.validate()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Resume && kind != specIterative {
+	if opts.Resume && spec.Iterative == nil {
 		return nil, fmt.Errorf("imr: Resume applies to Iterative jobs only")
 	}
 	name := spec.Name()
-	if name == "" {
-		return nil, fmt.Errorf("imr: job without a name")
-	}
 	if err := c.claimName(name); err != nil {
 		return nil, err
 	}
@@ -235,20 +219,31 @@ func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) 
 	go func() {
 		defer c.releaseName(name)
 		defer cancel(nil)
-		h.finish(c.execute(runCtx, kind, spec, opts))
+		h.finish(c.execute(runCtx, spec, opts))
 	}()
 	return h, nil
 }
 
-// execute runs the job on an engine acquired from the matching pool.
-func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
-	switch kind {
-	case specIterative:
-		eng, release, err := c.acquireCore(opts)
+// execute builds the run's engine and runs the job on it. The engine
+// reports into opts.Metrics and opts.Trace when set, else into the
+// cluster's sinks; the DFS always reports into the cluster set. An
+// iterative run's engine is registered as active for the length of the
+// run, so KillRun, FailWorker and StallWorker can reach it.
+func (c *Cluster) execute(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
+	m := opts.Metrics
+	if m == nil {
+		m = c.Metrics
+	}
+	if spec.Iterative != nil {
+		o := c.coreOpts
+		if opts.Trace != nil {
+			o.Trace = opts.Trace
+		}
+		eng, err := core.NewEngine(c.FS, c.net, c.Spec, m, o)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
+		defer c.track(eng)()
 		var res *core.Result
 		if opts.Resume {
 			res, err = eng.ResumeCtx(ctx, spec.Iterative)
@@ -259,28 +254,44 @@ func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts
 			return nil, err
 		}
 		return &JobResult{Iterative: res}, nil
-	case specBatch:
-		eng, release, err := c.acquireMR(opts)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+	}
+	o := c.mrOpts
+	if opts.Trace != nil {
+		o.Trace = opts.Trace
+	}
+	eng, err := mapreduce.NewEngine(c.FS, c.Spec, m, o)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Batch != nil {
 		res, err := eng.SubmitCtx(ctx, spec.Batch)
 		if err != nil {
 			return nil, err
 		}
 		return &JobResult{Batch: res}, nil
-	default: // specChain
-		eng, release, err := c.acquireMR(opts)
-		if err != nil {
-			return nil, err
+	}
+	res, err := mapreduce.RunIterativeCtx(ctx, eng, *spec.Chain)
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Chain: res}, nil
+}
+
+// track registers eng as an active run's engine and returns the func
+// that unregisters it.
+func (c *Cluster) track(eng *core.Engine) func() {
+	c.engMu.Lock()
+	c.active = append(c.active, eng)
+	c.engMu.Unlock()
+	return func() {
+		c.engMu.Lock()
+		defer c.engMu.Unlock()
+		for i, e := range c.active {
+			if e == eng {
+				c.active = append(c.active[:i], c.active[i+1:]...)
+				return
+			}
 		}
-		defer release()
-		res, err := mapreduce.RunIterativeCtx(ctx, eng, *spec.Chain)
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{Chain: res}, nil
 	}
 }
 
@@ -299,105 +310,4 @@ func (c *Cluster) releaseName(name string) {
 	c.engMu.Lock()
 	delete(c.activeNames, name)
 	c.engMu.Unlock()
-}
-
-// acquireCore hands out an idle core engine, creating one when the pool
-// is empty or when per-job metrics/trace isolation asks for a dedicated
-// instance. The release closure returns poolable engines to the free
-// list; dedicated ones are dropped. Every engine with an active run is
-// tracked in coreActive so KillRun can find it.
-func (c *Cluster) acquireCore(opts SubmitOptions) (*core.Engine, func(), error) {
-	dedicated := opts.Metrics != nil || opts.Trace != nil
-	var eng *core.Engine
-	if dedicated {
-		o := c.coreOpts
-		if opts.Trace != nil {
-			o.Trace = opts.Trace
-		}
-		m := opts.Metrics
-		if m == nil {
-			m = c.Metrics
-		}
-		e, err := core.NewEngine(c.FS, c.net, c.Spec, m, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng = e
-	} else {
-		c.engMu.Lock()
-		if n := len(c.coreFree); n > 0 {
-			eng = c.coreFree[n-1]
-			c.coreFree = c.coreFree[:n-1]
-		}
-		c.engMu.Unlock()
-		if eng == nil {
-			e, err := core.NewEngine(c.FS, c.net, c.Spec, c.Metrics, c.coreOpts)
-			if err != nil {
-				return nil, nil, err
-			}
-			eng = e
-		}
-	}
-	c.engMu.Lock()
-	c.coreActive = append(c.coreActive, eng)
-	c.engMu.Unlock()
-	release := func() {
-		c.engMu.Lock()
-		for i, e := range c.coreActive {
-			if e == eng {
-				c.coreActive = append(c.coreActive[:i], c.coreActive[i+1:]...)
-				break
-			}
-		}
-		if !dedicated {
-			c.coreFree = append(c.coreFree, eng)
-		}
-		c.engMu.Unlock()
-	}
-	return eng, release, nil
-}
-
-// acquireMR is acquireCore for the baseline engine (which also runs one
-// job at a time per instance).
-func (c *Cluster) acquireMR(opts SubmitOptions) (*mapreduce.Engine, func(), error) {
-	dedicated := opts.Metrics != nil || opts.Trace != nil
-	var eng *mapreduce.Engine
-	if dedicated {
-		o := c.mrOpts
-		if opts.Trace != nil {
-			o.Trace = opts.Trace
-		}
-		m := opts.Metrics
-		if m == nil {
-			m = c.Metrics
-		}
-		e, err := mapreduce.NewEngine(c.FS, c.Spec, m, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng = e
-	} else {
-		c.engMu.Lock()
-		if n := len(c.mrFree); n > 0 {
-			eng = c.mrFree[n-1]
-			c.mrFree = c.mrFree[:n-1]
-		}
-		c.engMu.Unlock()
-		if eng == nil {
-			e, err := mapreduce.NewEngine(c.FS, c.Spec, c.Metrics, c.mrOpts)
-			if err != nil {
-				return nil, nil, err
-			}
-			eng = e
-		}
-	}
-	release := func() {
-		if dedicated {
-			return
-		}
-		c.engMu.Lock()
-		c.mrFree = append(c.mrFree, eng)
-		c.engMu.Unlock()
-	}
-	return eng, release, nil
 }

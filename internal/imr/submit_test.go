@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"imapreduce/internal/kv"
 	"imapreduce/internal/mapreduce"
 	"imapreduce/internal/metrics"
+	"imapreduce/internal/trace"
 )
 
 func seedHalveState(t *testing.T, c *Cluster) {
@@ -62,8 +64,8 @@ func TestSubmitHandle(t *testing.T) {
 }
 
 // TestSubmitConcurrentJobs runs several iterative jobs at once on one
-// cluster — the engine-pool behavior the serve layer builds on — and
-// checks each result is exact.
+// cluster, each on its own engine — what the serve layer builds on —
+// and checks each result is exact.
 func TestSubmitConcurrentJobs(t *testing.T) {
 	c, err := NewCluster(Options{Workers: 4})
 	if err != nil {
@@ -109,6 +111,132 @@ func TestSubmitConcurrentJobs(t *testing.T) {
 		if n := sets[i].Get(metrics.Iterations); n != int64(iters) {
 			t.Fatalf("job %d private iterations = %d, want %d", i, n, iters)
 		}
+	}
+}
+
+// TestSubmitObserverRouting runs one job of each spec kind with its
+// own metrics set and recorder, concurrently with a plain job: each
+// run's engine reports only into its own sinks, the plain job's into
+// the cluster's, and DFS counters always land in the cluster set.
+func TestSubmitObserverRouting(t *testing.T) {
+	clusterTrace := trace.NewRecorder(0)
+	c, err := NewCluster(Options{Workers: 2, Trace: clusterTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedHalveState(t, c)
+	if err := c.Write("/words", []kv.Pair{{Key: int64(0), Value: "a b a"}}, kv.OpsFor[int64, string](nil)); err != nil {
+		t.Fatal(err)
+	}
+	var initRecs []kv.Pair
+	for i := 0; i < 6; i++ {
+		initRecs = append(initRecs, kv.Pair{Key: int64(i), Value: mapreduce.IterValue{State: 1.0}})
+	}
+	if err := c.Write("/chain-init", initRecs, kv.OpsFor[int64, mapreduce.IterValue](nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	iterJob := halveJob("route-iter", 4)
+	iterJob.OutputPath = "/out/route-iter"
+	plainJob := halveJob("route-plain", 2)
+	plainJob.OutputPath = "/out/route-plain"
+	specs := []struct {
+		spec       JobSpec
+		jobs, iter int64 // expected JobsLaunched / Iterations
+	}{
+		{JobSpec{Iterative: iterJob}, 1, 4},
+		{JobSpec{Batch: &mapreduce.Job{
+			Name: "route-batch", Input: []string{"/words"}, Output: "/out/route-batch",
+			Map: func(key, value any, emit kv.Emit) error {
+				for _, w := range strings.Fields(value.(string)) {
+					emit(w, int64(1))
+				}
+				return nil
+			},
+			Reduce: func(key any, values []any, emit kv.Emit) error {
+				emit(key, int64(len(values)))
+				return nil
+			},
+			NumReduce: 1,
+			Ops:       kv.OpsFor[string, int64](nil),
+		}}, 1, 0},
+		{JobSpec{Chain: &mapreduce.IterSpec{
+			Name: "route-chain", Input: "/chain-init", WorkDir: "/work/route-chain",
+			Map: func(key, value any, emit kv.Emit) error {
+				emit(key, value)
+				return nil
+			},
+			Reduce: func(key any, values []any, emit kv.Emit) error {
+				emit(key, values[0])
+				return nil
+			},
+			NumReduce: 1,
+			Ops:       kv.OpsFor[int64, mapreduce.IterValue](nil),
+			MaxIter:   3,
+		}}, 3, 0}, // one MapReduce job per iteration
+	}
+	sets := make([]*metrics.Set, len(specs))
+	recs := make([]*trace.Recorder, len(specs))
+	handles := make([]*JobHandle, 0, len(specs)+1)
+	for i, sp := range specs {
+		sets[i], recs[i] = metrics.NewSet(), trace.NewRecorder(0)
+		h, err := c.Submit(context.Background(), sp.spec, SubmitOptions{Metrics: sets[i], Trace: recs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	plain, err := c.Submit(context.Background(), JobSpec{Iterative: plainJob}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles = append(handles, plain)
+	for i, h := range handles {
+		if err := h.Wait(context.Background()); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+
+	for i, sp := range specs {
+		name := sp.spec.Name()
+		if n := sets[i].Get(metrics.JobsLaunched); n != sp.jobs {
+			t.Errorf("%s: private JobsLaunched = %d, want %d", name, n, sp.jobs)
+		}
+		if n := sets[i].Get(metrics.Iterations); n != sp.iter {
+			t.Errorf("%s: private Iterations = %d, want %d", name, n, sp.iter)
+		}
+		if n := sets[i].Get(metrics.DFSWriteBytes); n != 0 {
+			t.Errorf("%s: DFS writes leaked into the private set: %d bytes", name, n)
+		}
+		if recs[i].Len() == 0 {
+			t.Errorf("%s: private recorder is empty", name)
+		}
+	}
+	if n := c.Metrics.Get(metrics.JobsLaunched); n != 1 {
+		t.Errorf("cluster JobsLaunched = %d, want 1 (the plain job only)", n)
+	}
+	if n := c.Metrics.Get(metrics.Iterations); n != 2 {
+		t.Errorf("cluster Iterations = %d, want 2 (the plain job only)", n)
+	}
+	if c.Metrics.Get(metrics.DFSWriteBytes) == 0 {
+		t.Error("cluster set saw no DFS writes")
+	}
+	var runStarts, iterDone int
+	for _, ev := range clusterTrace.Events() {
+		switch ev.Kind {
+		case trace.KindRunStart:
+			runStarts++
+			if len(ev.Attrs) == 0 || ev.Attrs[0].Value != "route-plain" {
+				t.Errorf("cluster recorder got another job's run start: %+v", ev)
+			}
+		case trace.KindIterDone:
+			iterDone++
+		case trace.SpanJobInit:
+			t.Errorf("cluster recorder got a MapReduce job event: %+v", ev)
+		}
+	}
+	if runStarts != 1 || iterDone != 2 {
+		t.Errorf("cluster recorder: %d run starts, %d iterations; want 1 and 2", runStarts, iterDone)
 	}
 }
 

@@ -20,8 +20,9 @@
 //     (folded into the service set under a "tenant.<tenant>." prefix at
 //     completion) and, optionally, its own trace.Recorder.
 //
-// Execution itself is delegated to imr.Cluster.Submit, which grows a
-// per-run engine pool over the shared DFS, transport and cluster spec.
+// Execution itself is delegated to imr.Cluster.Submit, which builds
+// one engine per run over the shared DFS, transport and cluster spec;
+// the job's private metrics set and recorder are that engine's sinks.
 package serve
 
 import (
@@ -208,7 +209,7 @@ func (s *Service) TenantUsage(tenant string) int64 {
 // transport endpoints, checkpoints or manifests. ctx bounds the whole
 // job: queued jobs whose ctx dies are dropped at dispatch time.
 func (s *Service) Submit(ctx context.Context, spec imr.JobSpec, opts imr.SubmitOptions) (*Job, error) {
-	if err := checkSpec(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	tenant := opts.Tenant
@@ -275,24 +276,6 @@ func (s *Service) Submit(ctx context.Context, spec imr.JobSpec, opts imr.SubmitO
 		trace.Attr{Key: "job", Value: j.name})
 	s.kickSched()
 	return j, nil
-}
-
-// checkSpec mirrors imr's exactly-one validation at admission time, so
-// malformed specs fail the Submit call instead of the queued job.
-func checkSpec(spec imr.JobSpec) error {
-	set := 0
-	for _, ok := range []bool{spec.Iterative != nil, spec.Batch != nil, spec.Chain != nil} {
-		if ok {
-			set++
-		}
-	}
-	if set != 1 {
-		return fmt.Errorf("serve: JobSpec must set exactly one of Iterative, Batch, Chain (got %d)", set)
-	}
-	if spec.Name() == "" {
-		return fmt.Errorf("serve: job without a name")
-	}
-	return nil
 }
 
 // namespaceSpec clones the spec's root job with the namespaced name.
